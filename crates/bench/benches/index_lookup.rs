@@ -11,7 +11,7 @@ use std::hint::black_box;
 fn build_db(records: usize) -> Gbo {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 1 << 30,
-        background_io: false,
+        io_threads: 0,
         ..Default::default()
     });
     db.define_field("block id", FieldKind::Str, DeclaredSize::Known(16))

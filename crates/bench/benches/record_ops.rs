@@ -8,7 +8,7 @@ use std::hint::black_box;
 fn fresh_db() -> Gbo {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 1 << 30,
-        background_io: false,
+        io_threads: 0,
         ..Default::default()
     });
     db.define_field("id", FieldKind::I64, DeclaredSize::Known(8))

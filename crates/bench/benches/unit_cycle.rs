@@ -22,7 +22,7 @@ fn reader(s: &UnitSession) -> godiva_core::Result<()> {
 fn bench_unit_cycle_single_thread(c: &mut Criterion) {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 1 << 30,
-        background_io: false,
+        io_threads: 0,
         ..Default::default()
     });
     let mut i = 0u64;
@@ -41,7 +41,6 @@ fn bench_unit_cycle_single_thread(c: &mut Criterion) {
 fn bench_unit_cycle_background(c: &mut Criterion) {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 1 << 30,
-        background_io: true,
         ..Default::default()
     });
     let mut i = 0u64;
@@ -60,7 +59,7 @@ fn bench_unit_cycle_background(c: &mut Criterion) {
 fn bench_cache_hit_wait(c: &mut Criterion) {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 1 << 30,
-        background_io: false,
+        io_threads: 0,
         ..Default::default()
     });
     db.add_unit("hot", reader).unwrap();

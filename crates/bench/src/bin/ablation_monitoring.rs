@@ -156,9 +156,6 @@ fn main() {
         let rr = repeat(&env, args.repeats, || {
             let mut opts = env.voyager_options(TestSpec::simple(), Mode::GodivaMulti);
             configure(&mut opts);
-            if let Some(engine) = &health {
-                opts.health = Some(engine.handle());
-            }
             opts
         });
         drop(health);

@@ -1,14 +1,12 @@
 //! The GODIVA database — the paper's GBO (GODIVA Buffer Object).
 //!
-//! This module is the public facade over four internal layers (see
+//! This module is the public facade over three internal layers (see
 //! DESIGN.md §5e):
 //!
 //! - [`crate::store`] — schema registry, record table and key index
 //!   behind their own lock (§3.1, §3.3's RB-tree equivalent),
 //! - [`crate::units`] — unit table, reference counts, LRU clock,
-//!   prefetch queue and the memory budget (§3.2–3.3),
-//! - [`crate::sched`] — the pluggable queue policy feeding the workers
-//!   (FIFO by default, exactly the paper's behaviour),
+//!   FIFO prefetch queue and the memory budget (§3.2–3.3),
 //! - [`crate::exec`] — the I/O executor: `GboConfig::io_threads` reader
 //!   worker threads, panic isolation, retry, wait/deadlock logic.
 //!
@@ -23,15 +21,14 @@ use crate::buffer::{FieldBuffer, FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
 use crate::exec::Executor;
 use crate::metrics::GboMetrics;
-use crate::sched::SchedulerKind;
 use crate::schema::{DeclaredSize, FieldKind};
 use crate::stats::GboStats;
 use crate::store::Store;
 use crate::unit::{EvictionPolicy, ReadFn, ReadFunction, UnitState};
 use crate::units::{AllocCtx, UnitEntry, Units};
-use crate::wal::{self, Durability, ManifestUnit, RestoreInfo, SnapshotInfo, Wal, WalEntry};
+use crate::wal::{self, Durability, Wal, WalEntry};
 use godiva_obs::{FlightRecorder, MetricsRegistry, Tracer};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,19 +107,12 @@ pub struct GboConfig {
     /// Memory budget in bytes for all data buffers (the paper's
     /// constructor parameter, there given in MB).
     pub mem_limit: u64,
-    /// `true` = multi-thread GODIVA (background I/O workers, the paper's
-    /// **TG**); `false` = single-thread GODIVA (reads happen inside
-    /// `wait_unit`, the paper's **G**).
-    pub background_io: bool,
-    /// Number of reader worker threads the I/O executor owns when
-    /// `background_io` is true. `1` (the default) reproduces the paper's
-    /// single background I/O thread; more workers overlap one unit's
-    /// decode CPU with another's disk time; `0` is equivalent to
-    /// `background_io: false` (every read happens inline in
-    /// `wait_unit`).
+    /// Number of reader worker threads the I/O executor owns. `1` (the
+    /// default) reproduces the paper's single background I/O thread
+    /// (**TG**); more workers overlap one unit's decode CPU with
+    /// another's disk time; `0` is single-thread GODIVA (**G**): every
+    /// read happens inline in `wait_unit`.
     pub io_threads: usize,
-    /// Ordering policy of the prefetch queue (paper: FIFO).
-    pub scheduler: SchedulerKind,
     /// Eviction policy for finished units (paper: LRU).
     pub eviction: EvictionPolicy,
     /// Retry policy for transiently failing read functions, applied by
@@ -153,9 +143,9 @@ pub struct GboConfig {
     /// of re-running the developer callback. `None` (the default) is the
     /// paper's discard-on-evict behaviour.
     pub spill: Option<crate::spill::SpillConfig>,
-    /// Directory for the write-ahead log (DESIGN.md §5g). When set (and
-    /// `durability` is not [`Durability::None`]), every record commit
-    /// and unit lifecycle transition is journaled there, and
+    /// Directory for the write-ahead log (DESIGN.md §5g). When set,
+    /// every record commit and unit lifecycle transition is journaled
+    /// there, and
     /// [`Gbo::open_recovering`] can rebuild state after a crash —
     /// re-adopting spill frames for warm restarts. `None` (the default)
     /// disables journaling entirely.
@@ -164,7 +154,7 @@ pub struct GboConfig {
     /// meaningful when `wal_dir` is set. Default: [`Durability::Wal`]
     /// (append without fsync — survives process crashes).
     pub durability: Durability,
-    /// Liveness watchdog interval: when set (and background I/O is on),
+    /// Liveness watchdog interval: when set (and `io_threads > 0`),
     /// a monitor thread checks that outstanding work — queued units or
     /// in-flight reads — keeps producing unit-lifecycle progress. Work
     /// pending with no progress for this long counts one
@@ -182,9 +172,7 @@ impl Default for GboConfig {
     fn default() -> Self {
         GboConfig {
             mem_limit: 256 * 1024 * 1024,
-            background_io: true,
             io_threads: 1,
-            scheduler: SchedulerKind::Fifo,
             eviction: EvictionPolicy::Lru,
             retry: RetryPolicy::none(),
             tracer: Tracer::disabled(),
@@ -199,7 +187,7 @@ impl Default for GboConfig {
     }
 }
 
-/// Shared core of one database: the four layers plus the cross-layer
+/// Shared core of one database: the layers plus the cross-layer
 /// services (retry policy, metrics, tracer, flight recorder). Methods
 /// that orchestrate across layers live in the layer modules as `impl
 /// Inner` blocks (`exec` owns read execution and waits; record
@@ -230,10 +218,6 @@ pub struct Gbo {
     pub(crate) inner: Arc<Inner>,
     exec: Executor,
     watchdog: Option<Watchdog>,
-    /// Optional window-backed health engine behind [`Gbo::pressure`];
-    /// attached by the host (voyager, a future `godiva-serve`) after
-    /// construction.
-    health: parking_lot::Mutex<Option<godiva_obs::HealthHandle>>,
 }
 
 /// The liveness watchdog thread (see [`GboConfig::watchdog`]).
@@ -547,9 +531,6 @@ impl Gbo {
     /// database must not refuse to start over a durability add-on.
     fn fresh_wal(config: &GboConfig) -> Option<Arc<Wal>> {
         let dir = config.wal_dir.as_ref()?;
-        if config.durability == Durability::None {
-            return None;
-        }
         match Wal::create(dir, config.durability == Durability::WalSync) {
             Ok(w) => Some(Arc::new(w)),
             Err(e) => {
@@ -572,15 +553,10 @@ impl Gbo {
                 .tee(Arc::clone(recorder) as Arc<dyn godiva_obs::TraceSink>),
             None => config.tracer,
         };
-        let workers = if config.background_io {
-            config.io_threads
-        } else {
-            0
-        };
+        let workers = config.io_threads;
         let inner = Arc::new(Inner {
             store: Store::new(),
             units: Units::new(
-                config.scheduler.build(),
                 config.mem_limit,
                 config.eviction,
                 workers,
@@ -608,7 +584,6 @@ impl Gbo {
             inner,
             exec,
             watchdog,
-            health: parking_lot::Mutex::new(None),
         }
     }
 
@@ -617,9 +592,8 @@ impl Gbo {
     /// from the journaled lifecycle, re-adopt surviving checksummed
     /// spill frames (warm restart — revisits re-materialize from disk
     /// instead of re-running read callbacks), and continue journaling
-    /// to the same log. Without a `wal_dir` (or with
-    /// [`Durability::None`]) this is plain [`Gbo::with_config`] — a
-    /// cold start.
+    /// to the same log. Without a `wal_dir` this is plain
+    /// [`Gbo::with_config`] — a cold start.
     ///
     /// Recovery invariants (DESIGN.md §5g): replay stops at the first
     /// torn or corrupt record and *truncates* there rather than
@@ -627,9 +601,8 @@ impl Gbo {
     /// schemas and read callbacks must be re-declared by the
     /// application before waits.
     pub fn open_recovering(config: GboConfig) -> Result<Gbo> {
-        let dir = match (&config.wal_dir, config.durability) {
-            (Some(dir), Durability::Wal | Durability::WalSync) => dir.clone(),
-            _ => return Ok(Self::with_config(config)),
+        let Some(dir) = config.wal_dir.clone() else {
+            return Ok(Self::with_config(config));
         };
         let path = dir.join(wal::WAL_FILE);
         let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -650,7 +623,7 @@ impl Gbo {
                 let entry = st
                     .units
                     .entry(name.clone())
-                    .or_insert_with(|| UnitEntry::new(None, UnitState::Registered, 0));
+                    .or_insert_with(|| UnitEntry::new(None, UnitState::Registered));
                 if ru.loaded {
                     // Preserve revisit accounting: a recovered unit that
                     // had loaded counts as previously-loaded, so its next
@@ -686,159 +659,6 @@ impl Gbo {
             );
         }
         Ok(gbo)
-    }
-
-    /// Write an LSN-stamped point-in-time snapshot of the database's
-    /// durable state into `dir`: a checksummed manifest naming every
-    /// unit plus copies of the live spill frames.
-    ///
-    /// Spill frames are immutable once published (eviction *replaces* a
-    /// frame by atomic rename, never mutates it in place), so the
-    /// copies are taken outside the database locks — copy-on-write in
-    /// effect: an in-progress run keeps committing while the snapshot
-    /// is cut, and the manifest's LSN bounds exactly what it captured.
-    pub fn snapshot(&self, dir: impl AsRef<Path>) -> Result<SnapshotInfo> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let lsn = self
-            .inner
-            .units
-            .wal
-            .as_ref()
-            .map(|w| w.last_lsn())
-            .unwrap_or(0);
-        let mut units: Vec<ManifestUnit> = {
-            let st = self.inner.units.lock();
-            let mut v: Vec<ManifestUnit> = st
-                .units
-                .iter()
-                .map(|(name, e)| ManifestUnit {
-                    name: name.clone(),
-                    loaded: e.loaded_seq > 0,
-                    frame: None,
-                })
-                .collect();
-            v.sort_by(|a, b| a.name.cmp(&b.name));
-            v
-        };
-        let mut frames = 0usize;
-        let mut bytes = 0u64;
-        if let Some(spill) = &self.inner.units.spill {
-            for (unit, _) in spill.entries() {
-                let Some(frame) = spill.read_frame_raw(&unit) else {
-                    continue;
-                };
-                if frame.len() < 8 {
-                    continue;
-                }
-                let tail =
-                    u64::from_le_bytes(frame[frame.len() - 8..].try_into().expect("8-byte tail"));
-                if crate::spill::xxh64(&frame[..frame.len() - 8], 0) != tail {
-                    continue; // torn/raced frame; skip rather than freeze garbage
-                }
-                let file = format!("{}.gsp", crate::spill::sanitize(&unit));
-                std::fs::write(dir.join(&file), &frame)?;
-                let len = frame.len() as u64;
-                match units.iter_mut().find(|u| u.name == unit) {
-                    Some(u) => u.frame = Some((file, len, tail)),
-                    None => units.push(ManifestUnit {
-                        name: unit.clone(),
-                        loaded: true,
-                        frame: Some((file, len, tail)),
-                    }),
-                }
-                frames += 1;
-                bytes += len;
-            }
-        }
-        wal::write_manifest(dir, lsn, &units)?;
-        Ok(SnapshotInfo {
-            lsn,
-            units: units.len(),
-            frames,
-            bytes,
-        })
-    }
-
-    /// Seed a **new** run from a snapshot directory: copy the frozen
-    /// frames into `config`'s spill storage and synthesize a fresh WAL
-    /// in `config.wal_dir` describing them, so a subsequent
-    /// [`Gbo::open_recovering`] with the same config starts warm —
-    /// cheap session forking off a backup. Requires `config.wal_dir`;
-    /// frames are only planted when `config.spill` is set.
-    pub fn restore_snapshot(
-        snapshot_dir: impl AsRef<Path>,
-        config: &GboConfig,
-    ) -> Result<RestoreInfo> {
-        let snapshot_dir = snapshot_dir.as_ref();
-        let (_lsn, units) = wal::read_manifest(snapshot_dir)?;
-        let wal_dir = config.wal_dir.as_ref().ok_or_else(|| {
-            GodivaError::from(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "restore_snapshot requires GboConfig.wal_dir",
-            ))
-        })?;
-        let walh = Wal::create(wal_dir, false)?;
-        let metrics = GboMetrics::new(None);
-        let tracer = Tracer::disabled();
-        let mut frames = 0usize;
-        for u in &units {
-            walh.append(
-                &metrics,
-                &tracer,
-                &WalEntry::UnitAdded {
-                    unit: u.name.clone(),
-                },
-            );
-            if u.loaded {
-                walh.append(
-                    &metrics,
-                    &tracer,
-                    &WalEntry::UnitLoaded {
-                        unit: u.name.clone(),
-                    },
-                );
-            }
-            let Some((file, len, xxh)) = &u.frame else {
-                continue;
-            };
-            let Some(spill) = &config.spill else { continue };
-            let data = std::fs::read(snapshot_dir.join(file))?;
-            // The manifest's length/checksum must match the copied
-            // bytes, or adoption would reject the frame later anyway.
-            if data.len() as u64 != *len
-                || data.len() < 8
-                || u64::from_le_bytes(data[data.len() - 8..].try_into().expect("8-byte tail"))
-                    != *xxh
-            {
-                continue;
-            }
-            spill
-                .storage
-                .write(&format!("{}/{}", spill.dir, file), &data)?;
-            walh.append(
-                &metrics,
-                &tracer,
-                &WalEntry::UnitSpilled {
-                    unit: u.name.clone(),
-                    frame_len: *len,
-                    frame_xxh: *xxh,
-                },
-            );
-            walh.append(
-                &metrics,
-                &tracer,
-                &WalEntry::UnitEvicted {
-                    unit: u.name.clone(),
-                },
-            );
-            frames += 1;
-        }
-        walh.sync_to(walh.last_lsn(), &metrics, &tracer);
-        Ok(RestoreInfo {
-            units: units.len(),
-            frames,
-        })
     }
 
     // --- schema (record operation interfaces, §3.1) ---------------------
@@ -927,32 +747,12 @@ impl Gbo {
     // --- background I/O interfaces (§3.2) --------------------------------
 
     /// `addUnit(name, readFunction)`: non-blocking; appends the unit to
-    /// the prefetch queue (FIFO by default).
+    /// the FIFO prefetch queue.
     pub fn add_unit(&self, name: &str, reader: impl ReadFunction + 'static) -> Result<()> {
         self.inner.units.add_unit(
             &self.inner.metrics,
             &self.inner.tracer,
             name,
-            0,
-            Arc::new(reader),
-        )
-    }
-
-    /// Like [`Gbo::add_unit`], with a scheduling priority (larger =
-    /// read sooner). Only meaningful under
-    /// [`SchedulerKind::Priority`]; the default FIFO scheduler ignores
-    /// priorities, preserving the paper's strict arrival order.
-    pub fn add_unit_with_priority(
-        &self,
-        name: &str,
-        priority: i64,
-        reader: impl ReadFunction + 'static,
-    ) -> Result<()> {
-        self.inner.units.add_unit(
-            &self.inner.metrics,
-            &self.inner.tracer,
-            name,
-            priority,
             Arc::new(reader),
         )
     }
@@ -970,7 +770,7 @@ impl Gbo {
                 None => {
                     st.units.insert(
                         name.to_string(),
-                        UnitEntry::new(Some(reader), UnitState::Registered, 0),
+                        UnitEntry::new(Some(reader), UnitState::Registered),
                     );
                     self.inner.metrics.units_added.inc();
                     self.inner.units.journal(
@@ -1152,38 +952,6 @@ impl Gbo {
     /// write failed.
     pub fn dump_postmortem(&self, reason: &str) -> Option<PathBuf> {
         self.inner.dump_postmortem(reason)
-    }
-
-    /// Attach a health engine handle so [`Gbo::pressure`] answers from
-    /// its smoothed sliding-window view instead of the instantaneous
-    /// fallback below.
-    pub fn attach_health(&self, handle: godiva_obs::HealthHandle) {
-        *self.health.lock() = Some(handle);
-    }
-
-    /// Backpressure signal in `[0, 1]`: how close the database is to
-    /// its memory budget and how backed up the prefetch queue is.
-    /// Producers (mesh generators, snapshot loops) can poll this and
-    /// throttle submission before the eviction/deadlock machinery has
-    /// to intervene. With an attached health engine this is the
-    /// windowed [`godiva_obs::HealthHandle::pressure`]; otherwise it is
-    /// computed instantaneously under the state lock as
-    /// `max(mem_used / mem_limit, queue / (queue + 8))`.
-    pub fn pressure(&self) -> f64 {
-        if let Some(h) = self.health.lock().as_ref() {
-            return h.pressure();
-        }
-        let (used, limit, queue) = {
-            let st = self.inner.units.lock();
-            (st.mem_used, st.mem_limit, st.queue.len())
-        };
-        let mem_frac = if limit > 0 {
-            used as f64 / limit as f64
-        } else {
-            0.0
-        };
-        let queue_frac = queue as f64 / (queue as f64 + 8.0);
-        mem_frac.max(queue_frac).clamp(0.0, 1.0)
     }
 }
 

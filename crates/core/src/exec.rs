@@ -498,7 +498,7 @@ impl Inner {
                     }
                     self.units.work_cv.wait(&mut st);
                 }
-                let name = st.queue.pop().expect("non-empty");
+                let name = st.queue.pop_front().expect("non-empty");
                 self.units.sync_queue_gauge(&st, &self.metrics);
                 let entry = st.units.get_mut(&name).expect("queued unit exists");
                 entry.state = UnitState::Reading;

@@ -79,7 +79,6 @@ pub mod db;
 pub mod error;
 mod exec;
 mod metrics;
-pub mod sched;
 pub mod schema;
 pub mod spill;
 pub mod stats;
@@ -91,9 +90,8 @@ pub mod wal;
 pub use buffer::{FieldBuffer, FieldData, FieldRef, Key};
 pub use db::{Gbo, GboConfig, RecordHandle, RecordId, RetryPolicy, UnitGuard, UnitSession};
 pub use error::{GodivaError, Result};
-pub use sched::{FifoPolicy, PriorityPolicy, QueuePolicy, SchedulerKind};
 pub use schema::{DeclaredSize, FieldKind, FieldSlot, FieldTypeDef, RecordTypeDef, Schema};
 pub use spill::SpillConfig;
 pub use stats::GboStats;
 pub use unit::{EvictionPolicy, ReadFn, ReadFunction, UnitState};
-pub use wal::{Durability, RestoreInfo, SnapshotInfo};
+pub use wal::Durability;

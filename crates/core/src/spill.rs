@@ -312,21 +312,6 @@ impl SpillTier {
         true
     }
 
-    /// Snapshot support: the tier's current entries `(unit, frame_len)`.
-    pub(crate) fn entries(&self) -> Vec<(String, u64)> {
-        self.state
-            .lock()
-            .entries
-            .iter()
-            .map(|(n, e)| (n.clone(), e.len))
-            .collect()
-    }
-
-    /// Snapshot support: raw bytes of `unit`'s frame file, if readable.
-    pub(crate) fn read_frame_raw(&self, unit: &str) -> Option<Vec<u8>> {
-        self.storage.read(&self.path_of(unit)).ok()
-    }
-
     /// Recovery: delete any `*.gsp.tmp` left by a crash mid-publish.
     pub(crate) fn sweep_tmp(&self) {
         for path in self.storage.list(&format!("{}/", self.dir)) {
@@ -394,25 +379,6 @@ pub(crate) fn sanitize(unit: &str) -> String {
         out = out.replace('.', "%2E");
     }
     out
-}
-
-/// Invert [`sanitize`] (percent-decode). `None` on malformed escapes or
-/// non-UTF-8 results — callers treat that as a corrupt name.
-pub(crate) fn desanitize(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -885,11 +851,9 @@ mod tests {
         assert_eq!(sanitize("snap/0001.sdf"), "snap%2F0001.sdf");
         assert_eq!(sanitize(".."), "%2E%2E");
         assert_eq!(sanitize("a b"), "a%20b");
-        for name in ["snap_0001", "snap/0001.sdf", "..", "a b", "ünïcode/x"] {
-            assert_eq!(desanitize(&sanitize(name)).as_deref(), Some(name));
-        }
-        assert_eq!(desanitize("%zz"), None);
-        assert_eq!(desanitize("%2"), None);
+        // `%` itself is escaped, so an escaped name cannot collide with
+        // a literal one.
+        assert_ne!(sanitize("a/b"), sanitize("a%2Fb"));
     }
 
     #[test]

@@ -16,14 +16,13 @@
 
 use crate::error::{GodivaError, Result};
 use crate::metrics::GboMetrics;
-use crate::sched::QueuePolicy;
 use crate::spill::SpillTier;
 use crate::store::{RecordId, Store};
 use crate::unit::{EvictionPolicy, ReadFn, UnitState};
 use crate::wal::{Wal, WalEntry};
 use godiva_obs::Tracer;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Where an allocation request comes from; decides its blocking
@@ -64,22 +63,20 @@ pub(crate) struct UnitEntry {
     /// Monotonic sequence assigned when the unit finished loading (FIFO
     /// eviction order).
     pub(crate) loaded_seq: u64,
-    /// Scheduling priority carried across re-queues (`reset_unit`).
-    pub(crate) priority: i64,
     /// Executor worker currently reading this unit (`None` when idle or
     /// read inline on an application thread). The deadlock check uses
     /// it to see whether the unit a caller waits for is stuck behind a
     /// memory-blocked worker.
     pub(crate) reading_worker: Option<usize>,
     /// Trace tid of the thread whose load most recently made this unit
-    /// `Ready` (0 = unknown, e.g. rebuilt by WAL replay or snapshot
-    /// restore). `wait_unit` spans carry it as `served_tid` so the
-    /// critical-path analyzer can link a wait to the serving thread.
+    /// `Ready` (0 = unknown, e.g. rebuilt by WAL replay). `wait_unit`
+    /// spans carry it as `served_tid` so the critical-path analyzer can
+    /// link a wait to the serving thread.
     pub(crate) loaded_by: u64,
 }
 
 impl UnitEntry {
-    pub(crate) fn new(reader: Option<ReadFn>, state: UnitState, priority: i64) -> Self {
+    pub(crate) fn new(reader: Option<ReadFn>, state: UnitState) -> Self {
         UnitEntry {
             reader,
             state,
@@ -88,7 +85,6 @@ impl UnitEntry {
             bytes: 0,
             last_access: 0,
             loaded_seq: 0,
-            priority,
             reading_worker: None,
             loaded_by: 0,
         }
@@ -104,7 +100,8 @@ impl UnitEntry {
 
 pub(crate) struct UnitsState {
     pub(crate) units: HashMap<String, UnitEntry>,
-    pub(crate) queue: Box<dyn QueuePolicy>,
+    /// The prefetch queue: unit names in `add_unit` order (§3.2 FIFO).
+    pub(crate) queue: VecDeque<String>,
     pub(crate) mem_used: u64,
     pub(crate) mem_limit: u64,
     pub(crate) clock: u64,
@@ -167,7 +164,6 @@ pub(crate) struct Units {
 
 impl Units {
     pub(crate) fn new(
-        queue: Box<dyn QueuePolicy>,
         mem_limit: u64,
         eviction: EvictionPolicy,
         worker_count: usize,
@@ -177,7 +173,7 @@ impl Units {
         Units {
             state: Mutex::new(UnitsState {
                 units: HashMap::new(),
-                queue,
+                queue: VecDeque::new(),
                 mem_used: 0,
                 mem_limit,
                 clock: 0,
@@ -397,7 +393,6 @@ impl Units {
         metrics: &GboMetrics,
         tracer: &Tracer,
         name: &str,
-        priority: i64,
         reader: ReadFn,
     ) -> Result<()> {
         let mut st = self.lock();
@@ -408,14 +403,13 @@ impl Units {
             None => {
                 st.units.insert(
                     name.to_string(),
-                    UnitEntry::new(Some(reader), UnitState::Queued, priority),
+                    UnitEntry::new(Some(reader), UnitState::Queued),
                 );
             }
             Some(entry) => match entry.state {
                 UnitState::Registered => {
                     entry.reader = Some(reader);
                     entry.state = UnitState::Queued;
-                    entry.priority = priority;
                 }
                 _ => {
                     return Err(GodivaError::UnitError(format!(
@@ -425,7 +419,7 @@ impl Units {
                 }
             },
         }
-        st.queue.push(name.to_string(), priority);
+        st.queue.push_back(name.to_string());
         self.journal(
             metrics,
             tracer,
@@ -448,7 +442,7 @@ impl Units {
 
     /// Remove `name` from the prefetch queue if enqueued.
     pub(crate) fn unqueue(&self, st: &mut UnitsState, metrics: &GboMetrics, name: &str) {
-        st.queue.remove(name);
+        st.queue.retain(|n| n != name);
         // Unconditional: even a no-op removal re-asserts the gauge.
         self.sync_queue_gauge(st, metrics);
     }
@@ -543,8 +537,7 @@ impl Units {
     }
 
     /// Re-queue a `Failed` unit for another load attempt with its
-    /// existing read function, dropping any partial records first. The
-    /// unit keeps the priority it was added with.
+    /// existing read function, dropping any partial records first.
     pub(crate) fn reset_unit(
         &self,
         store: &Store,
@@ -575,10 +568,8 @@ impl Units {
         }
         entry.refcount = 0;
         self.drop_unit_data(&mut st, store, metrics, name);
-        let entry = st.units.get_mut(name).expect("still present");
-        entry.state = UnitState::Queued;
-        let priority = entry.priority;
-        st.queue.push(name.to_string(), priority);
+        st.units.get_mut(name).expect("still present").state = UnitState::Queued;
+        st.queue.push_back(name.to_string());
         metrics.units_reset.inc();
         self.sync_queue_gauge(&st, metrics);
         if tracer.enabled() {

@@ -36,7 +36,9 @@
 //!
 //! ## Durability modes
 //!
-//! - [`Durability::None`] — no journal at all (the pre-WAL behaviour).
+//! Leaving `GboConfig::wal_dir` unset turns journaling off entirely
+//! (the pre-WAL behaviour). With a `wal_dir`:
+//!
 //! - [`Durability::Wal`] — append without fsync: the OS page cache
 //!   makes records survive a *process* crash (the kill-injection
 //!   harness's scenario); an OS crash may lose the un-synced tail,
@@ -47,7 +49,7 @@
 //!   appended before the call, and the rest skip.
 
 use crate::metrics::GboMetrics;
-use crate::spill::{sanitize, xxh64, Reader};
+use crate::spill::{xxh64, Reader};
 use godiva_obs::Tracer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -56,16 +58,13 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Seed for every XXH64 checksum in the WAL and snapshot manifest
-/// (distinct from the spill frames' seed-0 checksums, so a WAL record
-/// can never verify as a frame or vice versa).
+/// Seed for every XXH64 checksum in the WAL (distinct from the spill
+/// frames' seed-0 checksums, so a WAL record can never verify as a
+/// frame or vice versa).
 const WAL_SEED: u64 = 0x474F_4449_5641_4C31; // "GODIVAL1"
 
 /// The log's file name inside `GboConfig::wal_dir`.
 pub const WAL_FILE: &str = "wal.log";
-
-/// Snapshot manifest file name inside a snapshot directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Upper bound on one record's body; anything larger is treated as a
 /// torn/corrupt length prefix (entries are names + keys — tiny).
@@ -75,8 +74,6 @@ const MAX_BODY: u32 = 16 << 20;
 /// See the module docs for the semantics of each mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// No write-ahead log, even when `wal_dir` is set.
-    None,
     /// Journal without fsync (survives process crashes).
     #[default]
     Wal,
@@ -493,11 +490,6 @@ impl Wal {
         }
     }
 
-    /// Highest LSN ever appended (0 on a fresh log).
-    pub(crate) fn last_lsn(&self) -> u64 {
-        self.appended_lsn.load(Ordering::Acquire)
-    }
-
     fn poison(&self, op: &str, err: &io::Error) {
         if !self.dead.swap(true, Ordering::Relaxed) {
             eprintln!(
@@ -573,138 +565,6 @@ impl Wal {
     }
 }
 
-// ---------------------------------------------------------------------------
-// snapshots (manifest + frozen frames)
-// ---------------------------------------------------------------------------
-
-/// Result of [`crate::Gbo::snapshot`]: what the point-in-time copy holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotInfo {
-    /// WAL LSN the snapshot is stamped with (0 when no WAL is active).
-    pub lsn: u64,
-    /// Units listed in the manifest.
-    pub units: usize,
-    /// Frozen spill frames copied next to it.
-    pub frames: usize,
-    /// Total frame bytes copied.
-    pub bytes: u64,
-}
-
-/// Result of [`crate::Gbo::restore_snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestoreInfo {
-    /// Units re-seeded into the new WAL.
-    pub units: usize,
-    /// Frames copied into the spill directory.
-    pub frames: usize,
-}
-
-/// One manifest line: a unit and (optionally) its frozen frame.
-pub(crate) struct ManifestUnit {
-    pub(crate) name: String,
-    pub(crate) loaded: bool,
-    /// `(file name, length, trailing checksum)` of the frozen frame.
-    pub(crate) frame: Option<(String, u64, u64)>,
-}
-
-/// Write the snapshot manifest atomically (tmp + rename). The body is
-/// itself checksummed, so a torn manifest is detected at restore.
-pub(crate) fn write_manifest(dir: &Path, lsn: u64, units: &[ManifestUnit]) -> io::Result<()> {
-    let mut body = String::from("GSNAP v1\n");
-    body.push_str(&format!("lsn {lsn}\n"));
-    for u in units {
-        let (file, len, xxh) = match &u.frame {
-            Some((f, l, x)) => (f.as_str(), *l, *x),
-            None => ("-", 0, 0),
-        };
-        body.push_str(&format!(
-            "unit {} loaded={} frame={} len={} xxh={:016x}\n",
-            sanitize(&u.name),
-            u.loaded as u8,
-            file,
-            len,
-            xxh
-        ));
-    }
-    let sum = xxh64(body.as_bytes(), WAL_SEED);
-    body.push_str(&format!("checksum {sum:016x}\n"));
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    std::fs::write(&tmp, body)?;
-    File::open(&tmp)?.sync_data()?;
-    std::fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_data();
-    }
-    Ok(())
-}
-
-fn manifest_err(msg: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("snapshot manifest: {msg}"),
-    )
-}
-
-/// Parse and verify a snapshot manifest: `(lsn, units)`.
-pub(crate) fn read_manifest(dir: &Path) -> io::Result<(u64, Vec<ManifestUnit>)> {
-    let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-    let (body, checksum_line) = text
-        .strip_suffix('\n')
-        .and_then(|t| t.rsplit_once('\n'))
-        .map(|(b, c)| (format!("{b}\n"), c))
-        .ok_or_else(|| manifest_err("too short"))?;
-    let stored = checksum_line
-        .strip_prefix("checksum ")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| manifest_err("missing checksum line"))?;
-    if xxh64(body.as_bytes(), WAL_SEED) != stored {
-        return Err(manifest_err("checksum mismatch"));
-    }
-    let mut lines = body.lines();
-    if lines.next() != Some("GSNAP v1") {
-        return Err(manifest_err("bad magic"));
-    }
-    let lsn: u64 = lines
-        .next()
-        .and_then(|l| l.strip_prefix("lsn "))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| manifest_err("missing lsn"))?;
-    let mut units = Vec::new();
-    for line in lines {
-        let rest = line
-            .strip_prefix("unit ")
-            .ok_or_else(|| manifest_err("unexpected line"))?;
-        let mut parts = rest.split(' ');
-        let name = parts
-            .next()
-            .and_then(crate::spill::desanitize)
-            .ok_or_else(|| manifest_err("bad unit name"))?;
-        let mut loaded = false;
-        let mut frame_file: Option<String> = None;
-        let mut len = 0u64;
-        let mut xxh = 0u64;
-        for p in parts {
-            if let Some(v) = p.strip_prefix("loaded=") {
-                loaded = v == "1";
-            } else if let Some(v) = p.strip_prefix("frame=") {
-                if v != "-" {
-                    frame_file = Some(v.to_string());
-                }
-            } else if let Some(v) = p.strip_prefix("len=") {
-                len = v.parse().map_err(|_| manifest_err("bad len"))?;
-            } else if let Some(v) = p.strip_prefix("xxh=") {
-                xxh = u64::from_str_radix(v, 16).map_err(|_| manifest_err("bad xxh"))?;
-            }
-        }
-        units.push(ManifestUnit {
-            name,
-            loaded,
-            frame: frame_file.map(|f| (f, len, xxh)),
-        });
-    }
-    Ok((lsn, units))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -752,7 +612,10 @@ mod tests {
         for e in entries() {
             wal.append(&m, &t, &e);
         }
-        assert_eq!(wal.last_lsn(), entries().len() as u64);
+        assert_eq!(
+            wal.appended_lsn.load(Ordering::Acquire),
+            entries().len() as u64
+        );
         let scan = scan_log(&dir.join(WAL_FILE)).unwrap();
         assert!(!scan.truncated);
         assert_eq!(
@@ -917,47 +780,13 @@ mod tests {
         for e in entries() {
             wal.append(&m, &t, &e);
         }
-        let last = wal.last_lsn();
+        let last = wal.appended_lsn.load(Ordering::Acquire);
         wal.sync_to(last, &m, &t);
         assert_eq!(m.wal_fsyncs.get(), 1);
         // Everything appended before the fsync is covered: no new fsync.
         wal.sync_to(1, &m, &t);
         wal.sync_to(last, &m, &t);
         assert_eq!(m.wal_fsyncs.get(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_roundtrip_and_corruption() {
-        let dir = temp_dir("manifest");
-        let units = vec![
-            ManifestUnit {
-                name: "snap 1/a".into(),
-                loaded: true,
-                frame: Some(("snap%201%2Fa.gsp".into(), 42, 0xABCD)),
-            },
-            ManifestUnit {
-                name: "b".into(),
-                loaded: false,
-                frame: None,
-            },
-        ];
-        write_manifest(&dir, 17, &units).unwrap();
-        let (lsn, read) = read_manifest(&dir).unwrap();
-        assert_eq!(lsn, 17);
-        assert_eq!(read.len(), 2);
-        assert_eq!(read[0].name, "snap 1/a");
-        assert!(read[0].loaded);
-        assert_eq!(read[0].frame, Some(("snap%201%2Fa.gsp".into(), 42, 0xABCD)));
-        assert_eq!(read[1].name, "b");
-        assert!(!read[1].loaded);
-        assert!(read[1].frame.is_none());
-        // A flipped byte fails the manifest checksum.
-        let p = dir.join(MANIFEST_FILE);
-        let mut text = std::fs::read(&p).unwrap();
-        text[10] ^= 0x01;
-        std::fs::write(&p, &text).unwrap();
-        assert!(read_manifest(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

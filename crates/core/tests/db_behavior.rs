@@ -54,10 +54,12 @@ fn key_of(unit: &str) -> Vec<Key> {
     vec![Key::from(id)]
 }
 
-fn small_db(mem: u64, background: bool) -> Gbo {
+/// `io_threads: 1` is the paper's TG build (one background reader),
+/// `0` its G build (reads happen inside `wait_unit`).
+fn small_db(mem: u64, io_threads: usize) -> Gbo {
     Gbo::with_config(GboConfig {
         mem_limit: mem,
-        background_io: background,
+        io_threads,
         eviction: EvictionPolicy::Lru,
         ..Default::default()
     })
@@ -65,7 +67,8 @@ fn small_db(mem: u64, background: bool) -> Gbo {
 
 #[test]
 fn batch_lifecycle_with_prefetch() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
+    assert_eq!(db.io_workers(), 1);
     for i in 0..4 {
         db.add_unit(&format!("u{i}"), unit_reader(100, Duration::ZERO))
             .unwrap();
@@ -86,7 +89,8 @@ fn batch_lifecycle_with_prefetch() {
 
 #[test]
 fn single_thread_mode_reads_inside_wait() {
-    let db = small_db(1 << 20, false);
+    let db = small_db(1 << 20, 0);
+    assert_eq!(db.io_workers(), 0);
     db.add_unit("u0", unit_reader(10, Duration::ZERO)).unwrap();
     // Nothing is prefetched in single-thread mode.
     std::thread::sleep(Duration::from_millis(20));
@@ -100,7 +104,7 @@ fn single_thread_mode_reads_inside_wait() {
 
 #[test]
 fn prefetch_completes_before_wait() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("u0", unit_reader(10, Duration::ZERO)).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while db.unit_state("u0") != Some(UnitState::Ready) {
@@ -115,7 +119,7 @@ fn prefetch_completes_before_wait() {
 #[test]
 fn prefetch_is_fifo() {
     let order = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     for i in 0..5 {
         let order2 = Arc::clone(&order);
         db.add_unit(&format!("u{i}"), move |s: &UnitSession| {
@@ -132,11 +136,46 @@ fn prefetch_is_fifo() {
         vec!["u0", "u1", "u2", "u3", "u4"],
         "units must be prefetched in addUnit order"
     );
+
+    // Deleting a unit from the middle of the queue leaves the others in
+    // addUnit order. The reader is held inside u0 so the queue stays
+    // put while it is edited.
+    order.lock().clear();
+    let gate = Arc::new(parking_lot::Mutex::new(()));
+    let held = gate.lock();
+    let db = small_db(1 << 20, 1);
+    for i in 0..5 {
+        let (order2, gate2) = (Arc::clone(&order), Arc::clone(&gate));
+        db.add_unit(&format!("u{i}"), move |s: &UnitSession| {
+            drop(gate2.lock());
+            order2.lock().push(s.unit().to_string());
+            unit_reader(1, Duration::ZERO)(s)
+        })
+        .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while db.unit_state("u0") != Some(UnitState::Reading) {
+        assert!(Instant::now() < deadline, "reader never picked up u0");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(db.queue_len(), 4);
+    db.delete_unit("u2").unwrap();
+    assert_eq!(db.queue_len(), 3);
+    assert_eq!(db.unit_state("u2"), Some(UnitState::Registered));
+    drop(held);
+    for u in ["u0", "u1", "u3", "u4"] {
+        db.wait_unit_timeout(u, Duration::from_secs(5)).unwrap();
+    }
+    assert_eq!(
+        *order.lock(),
+        vec!["u0", "u1", "u3", "u4"],
+        "the rest of the queue keeps addUnit order"
+    );
 }
 
 #[test]
 fn wait_blocks_until_slow_read_finishes() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("slow", unit_reader(10, Duration::from_millis(80)))
         .unwrap();
     let t = Instant::now();
@@ -147,7 +186,7 @@ fn wait_blocks_until_slow_read_finishes() {
 
 #[test]
 fn finished_units_stay_queryable_until_pressure() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("u0", unit_reader(10, Duration::ZERO)).unwrap();
     // Let the prefetch win the race so the first wait is a cache hit.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -167,7 +206,7 @@ fn finished_units_stay_queryable_until_pressure() {
 #[test]
 fn lru_eviction_under_pressure() {
     // Each unit: 8 bytes id + 800 bytes data = 808. Budget fits ~2.
-    let db = small_db(2000, true);
+    let db = small_db(2000, 1);
     for i in 0..4 {
         db.add_unit(&format!("u{i}"), unit_reader(100, Duration::ZERO))
             .unwrap();
@@ -194,7 +233,7 @@ fn fifo_eviction_policy_differs_from_lru() {
     let run = |policy: EvictionPolicy| -> Vec<bool> {
         let db = Gbo::with_config(GboConfig {
             mem_limit: 2600, // fits three 808-byte units
-            background_io: false,
+            io_threads: 0,
             eviction: policy,
             ..Default::default()
         });
@@ -224,7 +263,7 @@ fn fifo_eviction_policy_differs_from_lru() {
 
 #[test]
 fn pinned_units_never_evicted() {
-    let db = small_db(2000, false);
+    let db = small_db(2000, 0);
     db.add_unit("pinned", unit_reader(100, Duration::ZERO))
         .unwrap();
     db.wait_unit("pinned").unwrap(); // pinned, never finished
@@ -242,7 +281,7 @@ fn pinned_units_never_evicted() {
 
 #[test]
 fn refcount_two_waits_need_two_finishes() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("u", unit_reader(10, Duration::ZERO)).unwrap();
     db.wait_unit("u").unwrap();
     db.wait_unit("u").unwrap();
@@ -254,7 +293,7 @@ fn refcount_two_waits_need_two_finishes() {
 
 #[test]
 fn delete_unit_frees_memory_and_index() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("u", unit_reader(1000, Duration::ZERO)).unwrap();
     db.wait_unit("u").unwrap();
     assert!(db.mem_used() > 8000);
@@ -273,7 +312,7 @@ fn delete_unit_frees_memory_and_index() {
 fn deadlock_detected_when_nothing_evictable() {
     // Budget fits one unit; never finish the first; waiting for the
     // second must report a deadlock instead of hanging (§3.3).
-    let db = small_db(1200, true);
+    let db = small_db(1200, 1);
     db.add_unit("u0", unit_reader(100, Duration::ZERO)).unwrap();
     db.wait_unit("u0").unwrap(); // pinned forever (the developer "forgot")
     db.add_unit("u1", unit_reader(100, Duration::ZERO)).unwrap();
@@ -290,7 +329,7 @@ fn deadlock_detected_when_nothing_evictable() {
 
 #[test]
 fn unit_larger_than_budget_proceeds_over_budget() {
-    let db = small_db(100, true);
+    let db = small_db(100, 1);
     db.add_unit("big", unit_reader(10_000, Duration::ZERO))
         .unwrap();
     db.wait_unit("big").unwrap();
@@ -300,7 +339,7 @@ fn unit_larger_than_budget_proceeds_over_budget() {
 
 #[test]
 fn inline_out_of_memory_is_an_error() {
-    let db = small_db(1200, false);
+    let db = small_db(1200, 0);
     db.add_unit("u0", unit_reader(100, Duration::ZERO)).unwrap();
     db.wait_unit("u0").unwrap(); // pinned
     db.add_unit("u1", unit_reader(100, Duration::ZERO)).unwrap();
@@ -313,7 +352,7 @@ fn inline_out_of_memory_is_an_error() {
 
 #[test]
 fn set_mem_space_unblocks_prefetching() {
-    let db = small_db(900, true);
+    let db = small_db(900, 1);
     db.add_unit("u0", unit_reader(100, Duration::ZERO)).unwrap();
     db.add_unit("u1", unit_reader(100, Duration::ZERO)).unwrap();
     db.wait_unit("u0").unwrap(); // ~808 bytes used, pinned; u1 cannot load
@@ -325,7 +364,7 @@ fn set_mem_space_unblocks_prefetching() {
 
 #[test]
 fn failed_reader_reports_and_recovers() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("bad", |_s: &UnitSession| {
         Err(GodivaError::UnitError("synthetic failure".into()))
     })
@@ -342,7 +381,7 @@ fn failed_reader_reports_and_recovers() {
 
 #[test]
 fn read_unit_blocking_and_cache_hit_on_revisit() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.read_unit("file1", unit_reader(10, Duration::ZERO))
         .unwrap();
     assert_eq!(db.stats().blocking_reads, 1);
@@ -356,7 +395,7 @@ fn read_unit_blocking_and_cache_hit_on_revisit() {
 
 #[test]
 fn revisit_after_eviction_rereads() {
-    let db = small_db(1000, false);
+    let db = small_db(1000, 0);
     db.read_unit("a", unit_reader(100, Duration::ZERO)).unwrap();
     db.finish_unit("a").unwrap();
     db.read_unit("b", unit_reader(100, Duration::ZERO)).unwrap();
@@ -371,7 +410,7 @@ fn revisit_after_eviction_rereads() {
 
 #[test]
 fn duplicate_keys_rejected() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r1 = db.new_record("rec").unwrap();
     r1.set_str("id", "same").unwrap();
@@ -383,7 +422,7 @@ fn duplicate_keys_rejected() {
 
 #[test]
 fn commit_is_idempotent_and_key_fields_freeze() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     r.set_str("id", "k1").unwrap();
@@ -402,7 +441,7 @@ fn commit_is_idempotent_and_key_fields_freeze() {
 
 #[test]
 fn uncommitted_records_not_queryable() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     r.set_str("id", "ghost").unwrap();
@@ -415,7 +454,7 @@ fn uncommitted_records_not_queryable() {
 
 #[test]
 fn get_field_buffer_size_matches() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     r.set_str("id", "k").unwrap();
@@ -435,7 +474,7 @@ fn get_field_buffer_size_matches() {
 
 #[test]
 fn unknown_type_vs_missing_key() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     assert!(matches!(
         db.get_field_buffer("nope", "data", &[Key::from("k")]),
@@ -449,7 +488,7 @@ fn unknown_type_vs_missing_key() {
 
 #[test]
 fn alloc_field_then_update_in_place() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     r.set_str("id", "k").unwrap();
@@ -472,7 +511,7 @@ fn alloc_field_then_update_in_place() {
 
 #[test]
 fn declared_known_size_prealloc_and_enforcement() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     // "id" was declared Known(8): pre-allocated at creation.
@@ -488,7 +527,7 @@ fn declared_known_size_prealloc_and_enforcement() {
 
 #[test]
 fn type_mismatch_on_set() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     assert!(matches!(
@@ -503,7 +542,7 @@ fn type_mismatch_on_set() {
 
 #[test]
 fn delete_while_reading_rejected() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("slow", unit_reader(10, Duration::from_millis(200)))
         .unwrap();
     // Give the I/O thread time to start the read.
@@ -522,7 +561,7 @@ fn delete_while_reading_rejected() {
 
 #[test]
 fn double_add_rejected_while_active() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("u", unit_reader(10, Duration::ZERO)).unwrap();
     assert!(db.add_unit("u", unit_reader(10, Duration::ZERO)).is_err());
     db.wait_unit("u").unwrap();
@@ -535,7 +574,7 @@ fn double_add_rejected_while_active() {
 
 #[test]
 fn foreground_records_exempt_from_eviction() {
-    let db = small_db(900, false);
+    let db = small_db(900, 0);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
     r.set_str("id", "meta").unwrap();
@@ -557,7 +596,7 @@ fn foreground_records_exempt_from_eviction() {
 
 #[test]
 fn stats_wait_time_only_counts_blocking() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("u", unit_reader(10, Duration::ZERO)).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while db.unit_state("u") != Some(UnitState::Ready) {
@@ -575,7 +614,7 @@ fn stats_wait_time_only_counts_blocking() {
 #[test]
 fn many_units_many_threads_waiting() {
     // Several application threads waiting on different units at once.
-    let db = Arc::new(small_db(16 << 20, true));
+    let db = Arc::new(small_db(16 << 20, 1));
     let n = 16;
     for i in 0..n {
         db.add_unit(&format!("u{i}"), unit_reader(100, Duration::from_millis(1)))
@@ -604,7 +643,7 @@ fn many_units_many_threads_waiting() {
 
 #[test]
 fn drop_with_pending_queue_shuts_down_cleanly() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     for i in 0..50 {
         db.add_unit(&format!("u{i}"), unit_reader(10, Duration::from_millis(5)))
             .unwrap();
@@ -614,7 +653,7 @@ fn drop_with_pending_queue_shuts_down_cleanly() {
 
 #[test]
 fn unit_guard_unpins_on_drop() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("g", unit_reader(10, Duration::ZERO)).unwrap();
     {
         let guard = db.wait_unit_guard("g").unwrap();
@@ -632,7 +671,7 @@ fn unit_guard_unpins_on_drop() {
 fn unit_guard_makes_deadlock_unrepresentable() {
     // The deadlock scenario from §3.3, but with guards: the pin is
     // released before the next wait, so no deadlock can form.
-    let db = small_db(1200, true);
+    let db = small_db(1200, 1);
     db.add_unit("u0", unit_reader(100, Duration::ZERO)).unwrap();
     db.add_unit("u1", unit_reader(100, Duration::ZERO)).unwrap();
     {
@@ -646,7 +685,7 @@ fn unit_guard_makes_deadlock_unrepresentable() {
 
 #[test]
 fn nested_guards_stack() {
-    let db = small_db(1 << 20, true);
+    let db = small_db(1 << 20, 1);
     db.add_unit("n", unit_reader(10, Duration::ZERO)).unwrap();
     let g1 = db.wait_unit_guard("n").unwrap();
     let g2 = db.wait_unit_guard("n").unwrap();
@@ -662,7 +701,7 @@ fn nested_guards_stack() {
 
 #[test]
 fn introspection_lists_units_records_types() {
-    let db = small_db(1 << 20, false);
+    let db = small_db(1 << 20, 0);
     assert!(db.unit_names().is_empty());
     assert_eq!(db.record_count(), 0);
     db.add_unit("b", unit_reader(5, Duration::ZERO)).unwrap();

@@ -41,7 +41,7 @@ fn key_of(unit: &str) -> Vec<Key> {
 fn spilling_db(mem: u64, spill_budget: u64, fs: &Arc<MemFs>) -> Gbo {
     Gbo::with_config(GboConfig {
         mem_limit: mem,
-        background_io: false,
+        io_threads: 0,
         spill: Some(SpillConfig {
             storage: Arc::clone(fs) as Arc<dyn Storage>,
             dir: "spill".to_string(),
@@ -174,7 +174,7 @@ fn delete_unit_invalidates_spill_frame() {
 fn zero_byte_finished_units_are_reclaimable() {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 12 << 10,
-        background_io: false,
+        io_threads: 0,
         ..Default::default()
     });
     let calls = Arc::new(AtomicU64::new(0));

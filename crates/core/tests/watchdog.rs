@@ -22,7 +22,6 @@ fn stalled_reader_trips_the_watchdog_and_dumps_the_ring() {
     std::fs::create_dir_all(&dir).unwrap();
     let postmortem = dir.join("postmortem.jsonl");
     let db = Gbo::with_config(GboConfig {
-        background_io: true,
         io_threads: 1,
         watchdog: Some(Duration::from_millis(150)),
         postmortem_path: Some(postmortem.clone()),
@@ -71,7 +70,6 @@ fn stalled_reader_trips_the_watchdog_and_dumps_the_ring() {
 #[test]
 fn idle_and_progressing_databases_do_not_stall() {
     let db = Gbo::with_config(GboConfig {
-        background_io: true,
         io_threads: 2,
         watchdog: Some(Duration::from_millis(100)),
         ..Default::default()
@@ -91,26 +89,4 @@ fn idle_and_progressing_databases_do_not_stall() {
     // Idle tail: no outstanding work, so quiet time is not a stall.
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(db.stats().watchdog_stalls, 0);
-}
-
-#[test]
-fn pressure_reflects_memory_and_queue_backlog() {
-    let db = Gbo::with_config(GboConfig {
-        background_io: false,
-        mem_limit: 1 << 20,
-        ..Default::default()
-    });
-    assert_eq!(db.pressure(), 0.0);
-    // Inline mode leaves added units queued until waited on, so the
-    // queue term alone must raise the signal.
-    for i in 0..8 {
-        db.add_unit(&format!("u{i}"), |_s: &UnitSession| Ok(()))
-            .unwrap();
-    }
-    let p = db.pressure();
-    assert!(p > 0.4 && p <= 1.0, "queue backlog should show: {p}");
-    for i in 0..8 {
-        db.wait_unit(&format!("u{i}")).unwrap();
-    }
-    assert!(db.pressure() < p);
 }

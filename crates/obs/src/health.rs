@@ -19,8 +19,8 @@
 //! (category `health`) and append JSONL lines to an optional alert log.
 //!
 //! The engine is the data source behind `MetricsServer`'s `/alerts`,
-//! `/slo` and readiness-with-reasons `/healthz` endpoints, the windowed
-//! Prometheus families, and `Gbo::pressure()`.
+//! `/slo` and readiness-with-reasons `/healthz` endpoints and the
+//! windowed Prometheus families.
 
 use crate::metrics::MetricsRegistry;
 use crate::sink::escape_json_into;
@@ -420,7 +420,7 @@ impl HealthShared {
 }
 
 /// Clonable query handle onto a health engine — what `MetricsServer`
-/// and `Gbo::pressure()` hold.
+/// holds.
 #[derive(Clone)]
 pub struct HealthHandle(Arc<HealthShared>);
 
@@ -524,12 +524,6 @@ impl HealthHandle {
             })
             .collect();
         (reasons.is_empty(), reasons)
-    }
-
-    /// Memory/queue pressure in `[0, 1]` (see
-    /// [`WindowAggregator::pressure`]).
-    pub fn pressure(&self) -> f64 {
-        self.0.window.pressure()
     }
 
     /// Resolve every firing alert (emitting `alert_resolved` with the

@@ -136,15 +136,6 @@ pub trait SnapshotSource {
     fn fault_report(&self) -> FaultReport {
         FaultReport::default()
     }
-    /// Cut an LSN-stamped point-in-time snapshot of the underlying
-    /// database into `dir`. `None` when the source has no database.
-    fn write_snapshot(
-        &self,
-        dir: &std::path::Path,
-    ) -> Option<godiva_core::Result<godiva_core::SnapshotInfo>> {
-        let _ = dir;
-        None
-    }
 }
 
 /// Build a tet mesh from the flat buffers stored in snapshot files.
@@ -346,7 +337,8 @@ pub struct GodivaBackendOptions {
     /// these (plus mesh geometry).
     pub vars: Vec<String>,
     /// `true` = the paper's TG build (background I/O thread), `false` =
-    /// its G build (reads happen inside `wait_unit`).
+    /// its G build (reads happen inside `wait_unit`; the database gets
+    /// `io_threads: 0` whatever `io_threads` says).
     pub background_io: bool,
     /// Number of I/O executor workers when `background_io` is on
     /// (1 = the paper's single background thread).
@@ -587,9 +579,11 @@ impl GodivaBackend {
     ) -> VizResult<Self> {
         let gbo_config = GboConfig {
             mem_limit: options.mem_limit,
-            background_io: options.background_io,
-            io_threads: options.io_threads,
-            scheduler: Default::default(),
+            io_threads: if options.background_io {
+                options.io_threads
+            } else {
+                0
+            },
             eviction: options.eviction,
             retry: options.retry,
             tracer: options.tracer,
@@ -838,13 +832,6 @@ impl SnapshotSource for GodivaBackend {
     fn fault_report(&self) -> FaultReport {
         let stats = self.db.stats();
         self.skips.report(stats.units_retried, stats.panics_caught)
-    }
-
-    fn write_snapshot(
-        &self,
-        dir: &std::path::Path,
-    ) -> Option<godiva_core::Result<godiva_core::SnapshotInfo>> {
-        Some(self.db.snapshot(dir))
     }
 }
 

@@ -47,8 +47,8 @@ fn usage() -> ExitCode {
          voyager render --data DIR --ops OPS.txt [--camera CAM.txt] [--mode O|G|TG] \
          [--mem MB] [--io-threads N] [--out DIR] [--width W] [--height H] [--format ppm|png] \
          [--retries N] [--fault-mode abort|degrade] [--spill-dir DIR] [--spill-budget MB] \
-         [--wal-dir DIR] [--durability none|wal|wal-sync] [--resume] [--snapshot-out DIR] \
-         [--sweeps N] [--trace-out PATH] [--trace-format chrome|jsonl] [--metrics-summary] \
+         [--wal-dir DIR] [--durability wal|wal-sync] [--resume] [--sweeps N] \
+         [--trace-out PATH] [--trace-format chrome|jsonl] [--metrics-summary] \
          [--metrics-json PATH] [--metrics-listen ADDR] [--watchdog-ms N] \
          [--slo NAME=THRESHOLD]... [--alert-log PATH] [--health-tick-ms N]\n  \
          voyager example-specs DIR"
@@ -196,6 +196,11 @@ fn cmd_render(args: &Args) -> Result<(), String> {
         .value_or("--io-threads", "1")
         .parse()
         .map_err(|_| "--io-threads must be an integer (reader workers, TG mode)")?;
+    if mode == Mode::GodivaMulti && io_threads == 0 {
+        return Err(
+            "--mode TG needs --io-threads of at least 1 (use --mode G for inline reads)".into(),
+        );
+    }
     let width: usize = args
         .value_or("--width", "384")
         .parse()
@@ -269,22 +274,23 @@ fn cmd_render(args: &Args) -> Result<(), String> {
     if let Some(dir) = args.value("--wal-dir") {
         opts.wal_dir = Some(std::path::PathBuf::from(dir));
     }
-    opts.durability = match args.value_or("--durability", "wal") {
-        "none" => godiva_core::Durability::None,
-        "wal" => godiva_core::Durability::Wal,
-        "wal-sync" => godiva_core::Durability::WalSync,
-        other => {
-            return Err(format!(
-                "unknown durability '{other}' (use none, wal or wal-sync)"
-            ))
+    if let Some(durability) = args.value("--durability") {
+        if opts.wal_dir.is_none() {
+            return Err("--durability requires --wal-dir".into());
         }
-    };
+        opts.durability = match durability {
+            "wal" => godiva_core::Durability::Wal,
+            "wal-sync" => godiva_core::Durability::WalSync,
+            other => {
+                return Err(format!(
+                    "unknown durability '{other}' (use wal or wal-sync)"
+                ))
+            }
+        };
+    }
     opts.resume = args.has("--resume");
     if opts.resume && opts.wal_dir.is_none() {
         return Err("--resume requires --wal-dir".into());
-    }
-    if let Some(dir) = args.value("--snapshot-out") {
-        opts.snapshot_out = Some(std::path::PathBuf::from(dir));
     }
     // Browsing traces: repeat the snapshot list N times, keeping units
     // cached between sweeps (interactive retirement) so revisits hit
@@ -379,7 +385,6 @@ fn cmd_render(args: &Args) -> Result<(), String> {
         }
         _ => None,
     };
-    opts.health = health_engine.as_ref().map(|e| e.handle());
 
     // Live export: HTTP listener + periodic gauge snapshotter. Both ride
     // for the duration of the run; the snapshotter samples occupancy and
@@ -467,16 +472,6 @@ fn cmd_render(args: &Args) -> Result<(), String> {
                 stats.wal_truncated
             );
         }
-    }
-    if let Some(info) = &report.snapshot {
-        println!(
-            "snapshot: lsn {} with {} units, {} frames ({:.2} MB) written to {}",
-            info.lsn,
-            info.units,
-            info.frames,
-            info.bytes as f64 / (1024.0 * 1024.0),
-            args.value("--snapshot-out").unwrap_or("?")
-        );
     }
     let faults = &report.fault_report;
     if !faults.is_clean() {

@@ -115,18 +115,11 @@ pub struct VoyagerOptions {
     /// journaled units are re-seeded and surviving spill frames
     /// re-adopted, so a run killed mid-flight picks up warm.
     pub resume: bool,
-    /// Cut an LSN-stamped snapshot of the database into this directory
-    /// after the run (GODIVA modes with a WAL only).
-    pub snapshot_out: Option<std::path::PathBuf>,
     /// Liveness watchdog interval for the GODIVA modes (`None`
     /// disables it): work outstanding with no unit-lifecycle progress
     /// for this long counts a stall, dumps the flight recorder, and
     /// shows up on the health engine's `watchdog` rule.
     pub watchdog: Option<Duration>,
-    /// Health engine handle to attach to the database, so
-    /// `Gbo::pressure()` answers from its sliding windows and the run's
-    /// alert lifecycle reflects this database's counters.
-    pub health: Option<godiva_obs::HealthHandle>,
 }
 
 /// Output image encodings.
@@ -185,9 +178,7 @@ impl VoyagerOptions {
             wal_dir: None,
             durability: godiva_core::Durability::default(),
             resume: false,
-            snapshot_out: None,
             watchdog: None,
-            health: None,
         }
     }
 }
@@ -215,10 +206,6 @@ pub struct VoyagerReport {
     /// What the run skipped and absorbed (empty unless
     /// [`FaultMode::Degrade`] was selected and faults occurred).
     pub fault_report: FaultReport,
-    /// The snapshot cut after the run, when
-    /// [`VoyagerOptions::snapshot_out`] was set and the mode has a
-    /// database.
-    pub snapshot: Option<godiva_core::SnapshotInfo>,
 }
 
 /// Apply one graphics op to one block's data.
@@ -337,9 +324,6 @@ pub fn run_voyager(opts: VoyagerOptions) -> VizResult<VoyagerReport> {
                     boptions,
                 )
             };
-            if let Some(health) = &opts.health {
-                be.db().attach_health(health.clone());
-            }
             Box::new(be)
         }
     };
@@ -433,14 +417,6 @@ pub fn run_voyager(opts: VoyagerOptions) -> VizResult<VoyagerReport> {
     }
     let total = started.elapsed();
     let visible_io = backend.visible_io();
-    let snapshot = match &opts.snapshot_out {
-        Some(dir) => match backend.write_snapshot(dir) {
-            Some(Ok(info)) => Some(info),
-            Some(Err(e)) => return Err(e.into()),
-            None => None,
-        },
-        None => None,
-    };
     Ok(VoyagerReport {
         test: opts.spec.name.clone(),
         mode: opts.mode.label(),
@@ -451,7 +427,6 @@ pub fn run_voyager(opts: VoyagerOptions) -> VizResult<VoyagerReport> {
         image_checksums: checksums,
         gbo_stats: backend.gbo_stats(),
         fault_report: backend.fault_report(),
-        snapshot,
     })
 }
 

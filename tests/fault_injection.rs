@@ -120,7 +120,6 @@ fn failed_unit_recovers_after_fault_clears() {
     fs.fail_paths_with("snap_0000");
     let db = godiva::core::Gbo::with_config(godiva::core::GboConfig {
         mem_limit: 64 << 20,
-        background_io: true,
         io_threads: io_threads(),
         spill: spill_config(),
         wal_dir: wal_dir(),
@@ -221,7 +220,6 @@ fn transient_fault_without_retries_fails_unit() {
 fn panicking_read_function_is_contained() {
     let db = godiva::core::Gbo::with_config(godiva::core::GboConfig {
         mem_limit: 64 << 20,
-        background_io: true,
         io_threads: io_threads(),
         spill: spill_config(),
         wal_dir: wal_dir(),
@@ -412,7 +410,7 @@ fn corrupted_spill_frame_falls_back_to_read_function() {
         // Room for ~1.5 units: loading the second unit must evict the
         // first, and the first's buffers go to the spill cache.
         mem_limit: (payload * 2) as u64,
-        background_io: false,
+        io_threads: 0,
         spill: Some(godiva::core::SpillConfig {
             storage: spill_fs.clone() as Arc<dyn Storage>,
             dir: "spill".into(),

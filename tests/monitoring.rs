@@ -58,7 +58,7 @@ fn flight_recorder_dumps_postmortem_on_reader_panic() {
     {
         let sink = Arc::new(JsonlSink::create(&trace_path).unwrap());
         let db = payload_db(GboConfig {
-            background_io: false,
+            io_threads: 0,
             tracer: Tracer::new(sink),
             flight_recorder: Some(recorder.clone()),
             postmortem_path: Some(dump_path.clone()),

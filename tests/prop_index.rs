@@ -19,7 +19,7 @@ fn key_string() -> impl Strategy<Value = String> {
 fn fresh_db(n_keys: usize) -> Gbo {
     let db = Gbo::with_config(GboConfig {
         mem_limit: 1 << 30,
-        background_io: false,
+        io_threads: 0,
         ..Default::default()
     });
     for k in 0..n_keys {

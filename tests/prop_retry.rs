@@ -16,7 +16,7 @@ use std::time::Duration;
 fn db_with(policy: RetryPolicy) -> Gbo {
     Gbo::with_config(GboConfig {
         mem_limit: 1 << 20,
-        background_io: false,
+        io_threads: 0,
         retry: policy,
         ..Default::default()
     })

@@ -58,7 +58,7 @@ proptest! {
         // synchronous, so we can model pins exactly.
         let db = Gbo::with_config(GboConfig {
             mem_limit: 20_000,
-            background_io: false,
+            io_threads: 0,
             eviction: policy,
             ..Default::default()
         });
@@ -148,7 +148,7 @@ proptest! {
         let bytes = unit_kb * 1024 + 16; // payload + key
         let db = Gbo::with_config(GboConfig {
             mem_limit: (bytes * budget_units) as u64,
-            background_io: false,
+            io_threads: 0,
             eviction: EvictionPolicy::Lru,
             ..Default::default()
         });
@@ -183,7 +183,6 @@ proptest! {
         let registry = std::sync::Arc::new(godiva::obs::MetricsRegistry::new());
         let db = Gbo::with_config(GboConfig {
             mem_limit: (bytes * budget_units) as u64,
-            background_io: true,
             io_threads: workers,
             eviction: EvictionPolicy::Lru,
             metrics: Some(registry.clone()),
@@ -257,7 +256,7 @@ proptest! {
     ) {
         let db = Gbo::with_config(GboConfig {
             mem_limit: 1 << 30,
-            background_io: false,
+            io_threads: 0,
             ..Default::default()
         });
         for (i, kb) in loads.iter().enumerate() {

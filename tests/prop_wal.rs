@@ -71,7 +71,7 @@ fn config(root: &Path) -> GboConfig {
     GboConfig {
         // ~2.5 units of payload (+ keys): visits evict and spill.
         mem_limit: (PAYLOAD * 8 * 5 / 2) as u64,
-        background_io: false,
+        io_threads: 0,
         spill: Some(SpillConfig {
             storage: Arc::new(fs) as Arc<dyn Storage>,
             dir: "spill".into(),

@@ -56,7 +56,6 @@ fn read_starts_are_matched_and_evictions_follow_finish() {
     // the earlier (finished) ones.
     let db = payload_db(GboConfig {
         mem_limit: 20 << 10,
-        background_io: true,
         tracer: Tracer::new(sink.clone()),
         ..Default::default()
     });
