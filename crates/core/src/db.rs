@@ -278,7 +278,6 @@ impl Watchdog {
                     }
                     let stalled = quiet_since.elapsed();
                     if stalled >= interval {
-                        inner.metrics.watchdog_stalls.inc();
                         if inner.tracer.enabled() {
                             inner.tracer.instant(
                                 "gbo",
@@ -292,6 +291,9 @@ impl Watchdog {
                             );
                         }
                         inner.dump_postmortem("watchdog_stall");
+                        // Counted only once the dump is written, so whoever
+                        // sees the counter move can read the dump.
+                        inner.metrics.watchdog_stalls.inc();
                         // Re-arm: a stall persisting another full
                         // interval counts again, so the health engine's
                         // windowed delta keeps the alert firing for as

@@ -61,8 +61,9 @@ pub trait Element: Copy + Default + 'static {
     const DTYPE: DType;
     /// Append this value's little-endian bytes to `out`.
     fn write_le(&self, out: &mut Vec<u8>);
-    /// Decode one value from exactly `Self::DTYPE.size()` bytes.
-    fn read_le(bytes: &[u8]) -> Self;
+    /// Decode the values of `bytes`, whose length must be a multiple of
+    /// `Self::DTYPE.size()`.
+    fn read_le_slice(bytes: &[u8]) -> Vec<Self>;
 }
 
 macro_rules! impl_element {
@@ -72,10 +73,10 @@ macro_rules! impl_element {
             fn write_le(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
-            fn read_le(bytes: &[u8]) -> Self {
-                let mut buf = [0u8; std::mem::size_of::<$t>()];
-                buf.copy_from_slice(bytes);
-                <$t>::from_le_bytes(buf)
+            fn read_le_slice(bytes: &[u8]) -> Vec<Self> {
+                // Fixed-size chunks let the loop compile to a plain copy.
+                let (values, _) = bytes.as_chunks::<{ std::mem::size_of::<$t>() }>();
+                values.iter().map(|&v| <$t>::from_le_bytes(v)).collect()
             }
         }
     };
@@ -107,7 +108,7 @@ pub fn from_bytes<T: Element>(bytes: &[u8]) -> Result<Vec<T>> {
             bytes.len()
         )));
     }
-    Ok(bytes.chunks_exact(sz).map(T::read_le).collect())
+    Ok(T::read_le_slice(bytes))
 }
 
 #[cfg(test)]

@@ -1,18 +1,20 @@
 //! SDF file reader.
 //!
 //! Opening a file costs two small ranged reads (header, then directory at
-//! the tail); each dataset read is one ranged read into the body followed
-//! by checksum verification and decoding on the calling thread. On a
-//! simulated disk this reproduces the seek-heavy access pattern of
-//! HDF-style files that §4.2 of the GODIVA paper measures.
+//! the tail) and indexes the directory by name; each dataset read is one
+//! ranged read into the body followed by checksum verification and one
+//! conversion into the typed array on the calling thread. On a simulated
+//! disk this reproduces the seek-heavy access pattern of HDF-style files
+//! that §4.2 of the GODIVA paper measures.
 
 use crate::crc::crc32;
 use crate::dataset::{decode_entry, Cursor, DatasetInfo};
-use crate::dtype::{from_bytes, Element};
+use crate::dtype::{from_bytes, DType, Element};
 use crate::error::{Result, SdfError};
 use crate::writer::HEADER_LEN;
 use crate::{MAGIC, VERSION};
 use godiva_platform::{CpuPool, Storage, Work};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -83,6 +85,8 @@ pub struct SdfFile {
     storage: Arc<dyn Storage>,
     path: String,
     datasets: Vec<DatasetInfo>,
+    /// Dataset name → position in `datasets`.
+    index: HashMap<String, usize>,
     options: ReadOptions,
 }
 
@@ -112,7 +116,10 @@ impl SdfFile {
         let dir_offset = u64::from_le_bytes(header[8..16].try_into().unwrap());
         let dir_len = u64::from_le_bytes(header[16..24].try_into().unwrap());
         let file_len = storage.len(&path)?;
-        if dir_offset + dir_len > file_len {
+        if dir_offset
+            .checked_add(dir_len)
+            .is_none_or(|end| end > file_len)
+        {
             return Err(SdfError::Corrupt(format!(
                 "directory [{dir_offset}, +{dir_len}) exceeds file length {file_len} in {path}"
             )));
@@ -120,12 +127,25 @@ impl SdfFile {
         let dir_bytes = storage.read_at(&path, dir_offset, dir_len as usize)?;
         let mut cur = Cursor::new(&dir_bytes);
         let count = cur.u32()? as usize;
-        let mut datasets = Vec::with_capacity(count);
-        for _ in 0..count {
+        // A damaged count must not reserve more than the directory holds.
+        let capacity = count.min(dir_bytes.len());
+        let mut datasets = Vec::with_capacity(capacity);
+        let mut index = HashMap::with_capacity(capacity);
+        for i in 0..count {
             let entry = decode_entry(&mut cur)?;
-            if entry.offset + entry.stored_len > dir_offset {
+            if entry
+                .offset
+                .checked_add(entry.stored_len)
+                .is_none_or(|end| end > dir_offset)
+            {
                 return Err(SdfError::Corrupt(format!(
                     "dataset '{}' payload overlaps the directory",
+                    entry.name
+                )));
+            }
+            if index.insert(entry.name.clone(), i).is_some() {
+                return Err(SdfError::Corrupt(format!(
+                    "dataset '{}' is named twice in the directory of {path}",
                     entry.name
                 )));
             }
@@ -141,6 +161,7 @@ impl SdfFile {
             storage,
             path,
             datasets,
+            index,
             options,
         })
     }
@@ -157,21 +178,33 @@ impl SdfFile {
 
     /// Find a dataset by name.
     pub fn dataset(&self, name: &str) -> Result<&DatasetInfo> {
-        self.datasets
-            .iter()
-            .find(|d| d.name == name)
+        self.index
+            .get(name)
+            .map(|&i| &self.datasets[i])
             .ok_or_else(|| SdfError::NoSuchDataset(name.to_string()))
     }
 
     /// Whether the file contains a dataset with this name.
     pub fn contains(&self, name: &str) -> bool {
-        self.datasets.iter().any(|d| d.name == name)
+        self.index.contains_key(name)
     }
 
-    /// Read and decode a dataset's full payload as raw little-endian
-    /// bytes (checksum-verified, CPU cost charged).
-    pub fn read_bytes(&self, name: &str) -> Result<Vec<u8>> {
-        let info = self.dataset(name)?.clone();
+    /// Find a dataset by name and check that it stores `requested`.
+    fn typed_dataset(&self, name: &str, requested: DType) -> Result<&DatasetInfo> {
+        let info = self.dataset(name)?;
+        if info.dtype != requested {
+            return Err(SdfError::TypeMismatch {
+                dataset: name.to_string(),
+                stored: info.dtype,
+                requested,
+            });
+        }
+        Ok(info)
+    }
+
+    /// One storage read of the stored payload, its checksum check, the
+    /// CPU charge, and the decoding (a no-op for `Raw`).
+    fn payload(&self, info: &DatasetInfo) -> Result<Vec<u8>> {
         let stored = self
             .storage
             .read_at(&self.path, info.offset, info.stored_len as usize)?;
@@ -179,40 +212,31 @@ impl SdfFile {
             let actual = crc32(&stored);
             if actual != info.crc {
                 return Err(SdfError::ChecksumMismatch {
-                    dataset: info.name,
+                    dataset: info.name.clone(),
                     expected: info.crc,
                     actual,
                 });
             }
         }
         self.options.charge(info.stored_len);
-        info.encoding.decode(&stored, info.dtype.size())
+        info.encoding.decode(stored, info.dtype.size())
+    }
+
+    /// Read and decode a dataset's full payload as raw little-endian
+    /// bytes (checksum-verified, CPU cost charged).
+    pub fn read_bytes(&self, name: &str) -> Result<Vec<u8>> {
+        self.payload(self.dataset(name)?)
     }
 
     /// Read a dataset as typed elements.
     pub fn read<T: Element>(&self, name: &str) -> Result<Vec<T>> {
-        let info = self.dataset(name)?;
-        if info.dtype != T::DTYPE {
-            return Err(SdfError::TypeMismatch {
-                dataset: name.to_string(),
-                stored: info.dtype,
-                requested: T::DTYPE,
-            });
-        }
-        from_bytes(&self.read_bytes(name)?)
+        from_bytes(&self.payload(self.typed_dataset(name, T::DTYPE)?)?)
     }
 
     /// Read a string dataset (U8 payload interpreted as UTF-8).
     pub fn read_str(&self, name: &str) -> Result<String> {
-        let info = self.dataset(name)?;
-        if info.dtype != crate::DType::U8 {
-            return Err(SdfError::TypeMismatch {
-                dataset: name.to_string(),
-                stored: info.dtype,
-                requested: crate::DType::U8,
-            });
-        }
-        String::from_utf8(self.read_bytes(name)?)
+        let bytes = self.payload(self.typed_dataset(name, DType::U8)?)?;
+        String::from_utf8(bytes)
             .map_err(|_| SdfError::Corrupt(format!("dataset '{name}' is not UTF-8")))
     }
 
@@ -220,14 +244,7 @@ impl SdfFile {
     /// the dataset. Only `Raw`-encoded datasets support this; checksums
     /// cannot be verified for partial reads.
     pub fn read_slab<T: Element>(&self, name: &str, start: u64, count: u64) -> Result<Vec<T>> {
-        let info = self.dataset(name)?;
-        if info.dtype != T::DTYPE {
-            return Err(SdfError::TypeMismatch {
-                dataset: name.to_string(),
-                stored: info.dtype,
-                requested: T::DTYPE,
-            });
-        }
+        let info = self.typed_dataset(name, T::DTYPE)?;
         if !info.encoding.supports_hyperslab() {
             return Err(SdfError::BadSlab(format!(
                 "dataset '{name}' is {:?}-encoded; ranged reads need Raw",
@@ -235,18 +252,23 @@ impl SdfFile {
             )));
         }
         let total = info.element_count();
-        if start + count > total {
+        let esz = info.dtype.size() as u64;
+        // Checked: a wrapped sum or product would address another
+        // dataset's bytes.
+        let range = start
+            .checked_add(count)
+            .filter(|&end| end <= total)
+            .and_then(|_| {
+                let at = info.offset.checked_add(start.checked_mul(esz)?)?;
+                Some((at, count.checked_mul(esz)?))
+            });
+        let Some((at, len)) = range else {
             return Err(SdfError::BadSlab(format!(
                 "slab [{start}, +{count}) exceeds {total} elements of '{name}'"
             )));
-        }
-        let esz = info.dtype.size() as u64;
-        let bytes = self.storage.read_at(
-            &self.path,
-            info.offset + start * esz,
-            (count * esz) as usize,
-        )?;
-        self.options.charge(count * esz);
+        };
+        let bytes = self.storage.read_at(&self.path, at, len as usize)?;
+        self.options.charge(len);
         from_bytes(&bytes)
     }
 
@@ -342,6 +364,50 @@ mod tests {
         assert!(matches!(
             f.read_slab::<f64>("x", 0, 5),
             Err(SdfError::BadSlab(_))
+        ));
+    }
+
+    #[test]
+    fn slab_bounds_do_not_wrap() {
+        let fs = Arc::new(MemFs::new());
+        let mut w = SdfWriter::create(fs.as_ref(), "f.sdf");
+        w.put_1d("a", &[1.0f64, 2.0, 3.0, 4.0], vec![]).unwrap();
+        w.put_1d("b", &[10.0f64, 20.0], vec![]).unwrap();
+        w.finish().unwrap();
+        let f = SdfFile::open(fs, "f.sdf").unwrap();
+        // start + count wraps to 0 and start * 8 to -16: unchecked, this
+        // read the tail of `a`.
+        for (start, count) in [(u64::MAX - 1, 2), (u64::MAX, 1), (1, u64::MAX)] {
+            assert!(
+                matches!(
+                    f.read_slab::<f64>("b", start, count),
+                    Err(SdfError::BadSlab(_))
+                ),
+                "slab [{start}, +{count})"
+            );
+        }
+        assert_eq!(f.read_slab::<f64>("b", 1, 1).unwrap(), vec![20.0]);
+    }
+
+    #[test]
+    fn duplicate_directory_name_rejected() {
+        let fs = Arc::new(MemFs::new());
+        let mut w = SdfWriter::create(fs.as_ref(), "f.sdf");
+        w.put_1d("xa", &[1.0f64], vec![]).unwrap();
+        w.put_1d("xb", &[2.0f64], vec![]).unwrap();
+        w.finish().unwrap();
+        let mut bytes = fs.read("f.sdf").unwrap();
+        let dir_offset = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let at = dir_offset
+            + bytes[dir_offset..]
+                .windows(2)
+                .position(|w| w == b"xb")
+                .unwrap();
+        bytes[at + 1] = b'a';
+        fs.write("f.sdf", &bytes).unwrap();
+        assert!(matches!(
+            SdfFile::open(fs, "f.sdf"),
+            Err(SdfError::Corrupt(m)) if m.contains("'xa'")
         ));
     }
 

@@ -447,13 +447,12 @@ pub struct GodivaBackend {
 /// The record type name used in the GODIVA database.
 const BLOCK_TYPE: &str = "genx_block";
 
-/// Commit the block schema on the database itself, outside any read
-/// function. A warm restart ([`GodivaBackend::open_resuming`])
+/// Commit the block schema on the database itself, once, before any read
+/// function can run. A warm restart ([`GodivaBackend::open_resuming`])
 /// re-materializes spilled records *before* any read callback runs, and
-/// restoring a record requires its committed type — so the schema must
-/// not live only inside the callbacks. Definitions are idempotent, so
-/// the callbacks re-declaring them later is fine.
-fn define_block_schema_db(db: &Gbo, vars: &[String]) -> godiva_core::Result<()> {
+/// restoring a record requires its committed type; the read callbacks
+/// then only create records of it.
+fn define_block_schema(db: &Gbo, vars: &[String]) -> godiva_core::Result<()> {
     db.define_field("snapshot", FieldKind::I64, DeclaredSize::Known(8))?;
     db.define_field("block", FieldKind::I64, DeclaredSize::Known(8))?;
     db.define_field("points", FieldKind::F64, DeclaredSize::Unknown)?;
@@ -472,25 +471,6 @@ fn define_block_schema_db(db: &Gbo, vars: &[String]) -> godiva_core::Result<()> 
     db.commit_record_type(BLOCK_TYPE)
 }
 
-fn define_block_schema(s: &UnitSession, vars: &[String]) -> godiva_core::Result<()> {
-    s.define_field("snapshot", FieldKind::I64, DeclaredSize::Known(8))?;
-    s.define_field("block", FieldKind::I64, DeclaredSize::Known(8))?;
-    s.define_field("points", FieldKind::F64, DeclaredSize::Unknown)?;
-    s.define_field("conn", FieldKind::I32, DeclaredSize::Unknown)?;
-    for v in vars {
-        s.define_field(v, FieldKind::F64, DeclaredSize::Unknown)?;
-    }
-    s.define_record(BLOCK_TYPE, 2)?;
-    s.insert_field(BLOCK_TYPE, "snapshot", true)?;
-    s.insert_field(BLOCK_TYPE, "block", true)?;
-    s.insert_field(BLOCK_TYPE, "points", false)?;
-    s.insert_field(BLOCK_TYPE, "conn", false)?;
-    for v in vars {
-        s.insert_field(BLOCK_TYPE, v, false)?;
-    }
-    s.commit_record_type(BLOCK_TYPE)
-}
-
 /// Read the blocks of one file of one snapshot into the database — the
 /// developer-supplied read function of this application.
 #[allow(clippy::too_many_arguments)]
@@ -504,7 +484,6 @@ fn read_file_into_db(
     snapshot: usize,
     file_index: usize,
 ) -> godiva_core::Result<()> {
-    define_block_schema(session, vars)?;
     // Skip files none of whose blocks belong to this database — a
     // partitioned (Houston) worker never even opens them.
     let wanted: Vec<usize> = config
@@ -602,7 +581,7 @@ impl GodivaBackend {
         };
         // Commit the block schema before any wait: spill restore (and a
         // warm restart in particular) needs the committed type.
-        define_block_schema_db(&db, &options.vars)?;
+        define_block_schema(&db, &options.vars)?;
         let blocks = options
             .block_subset
             .unwrap_or_else(|| (0..config.blocks).collect());

@@ -10,6 +10,7 @@
 
 use crate::raster::Framebuffer;
 use godiva_platform::Storage;
+use godiva_sdf::crc::crc32;
 use std::io;
 
 /// Adler-32 checksum (RFC 1950).
@@ -26,24 +27,6 @@ fn adler32(data: &[u8]) -> u32 {
         b %= MOD;
     }
     (b << 16) | a
-}
-
-/// CRC-32 as PNG requires (same polynomial as the SDF checksums).
-fn crc32(data: &[u8]) -> u32 {
-    // Small local table-free implementation to keep this module
-    // self-contained (PNG writing is not a hot path).
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-        }
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 fn push_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
@@ -114,10 +97,14 @@ mod tests {
     }
 
     #[test]
-    fn crc_matches_sdf_implementation() {
-        for data in [&b""[..], b"123456789", b"IHDR test payload"] {
-            assert_eq!(crc32(data), godiva_sdf::crc::crc32(data));
-        }
+    fn iend_chunk_has_the_standard_crc() {
+        let png = encode_png(&Framebuffer::new(3, 2));
+        // Every PNG ends with the same IEND chunk: empty payload, CRC
+        // 0xAE426082.
+        assert_eq!(
+            &png[png.len() - 12..],
+            &[0, 0, 0, 0, b'I', b'E', b'N', b'D', 0xAE, 0x42, 0x60, 0x82]
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests: the SDF container round-trips arbitrary datasets and
-//! detects arbitrary corruption.
+//! detects arbitrary corruption, and its CRC-32 matches the classic
+//! byte-at-a-time algorithm.
 
 use godiva::platform::{MemFs, Storage};
+use godiva::sdf::crc::{crc32, Crc32};
 use godiva::sdf::{plain, Attr, DType, Encoding, SdfError, SdfFile, SdfWriter};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -42,6 +44,26 @@ fn put(
         AnyData::I64(v) => w.put_1d(name, v, attrs),
         AnyData::Bytes(v) => w.put_1d(name, v, attrs),
     }
+}
+
+/// Reference CRC-32: one 256-entry table lookup per byte.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| {
+            (0..8).fold(i, |c, _| {
+                if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        })
+        .collect();
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 fn bits_equal(a: f64, b: f64) -> bool {
@@ -175,6 +197,20 @@ proptest! {
         for (x, y) in back.iter().zip(&values) {
             prop_assert!(bits_equal(*x, *y));
         }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference(
+        data in prop::collection::vec(any::<u8>(), 0..4096),
+        split_fraction in 0.0f64..1.0,
+    ) {
+        let expected = crc32_bytewise(&data);
+        prop_assert_eq!(crc32(&data), expected);
+        let split = (data.len() as f64 * split_fraction) as usize;
+        let mut c = Crc32::new();
+        c.update(&data[..split]);
+        c.update(&data[split..]);
+        prop_assert_eq!(c.finish(), expected);
     }
 
     #[test]
